@@ -14,7 +14,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy import stats
 
 from repro.analysis.engine.index import DatasetOrIndex, ensure_index
 from repro.world.countries import get_country
@@ -106,14 +105,19 @@ def fit_ols(features: np.ndarray, outcome: np.ndarray) -> RegressionResult:
     sigma2 = float(residuals @ residuals) / dof
     covariance = sigma2 * np.linalg.inv(design.T @ design)
     stderrs = np.sqrt(np.diag(covariance))
-    t_crit = stats.t.ppf(0.975, dof)
+    # Student-t quantile and tail straight from scipy.special, the
+    # functions scipy.stats.t.ppf/.sf dispatch to (bit-identical), so
+    # reports pay for importing scipy.special rather than scipy.stats.
+    from scipy.special import stdtr, stdtrit
+
+    t_crit = stdtrit(dof, 0.975)
 
     coefficients: dict[str, Coefficient] = {}
     for index, name in enumerate(FEATURE_NAMES):
         estimate = float(beta[index + 1])
         stderr = float(stderrs[index + 1])
         t_stat = estimate / stderr if stderr > 0 else math.inf
-        p_value = float(2 * stats.t.sf(abs(t_stat), dof))
+        p_value = float(2 * stdtr(dof, -abs(t_stat)))
         coefficients[name] = Coefficient(
             name=name,
             estimate=estimate,

@@ -13,7 +13,7 @@ import dataclasses
 import json
 import logging
 import pathlib
-from typing import Union
+from typing import IO, Iterable, Union
 
 from repro.categories import HostingCategory
 from repro.core.dataset import CountryDataset, GovernmentHostingDataset, UrlRecord
@@ -103,15 +103,84 @@ def save_dataset(dataset: GovernmentHostingDataset, path: PathLike) -> int:
     """Write the dataset as JSON lines; returns the number of records.
 
     Line 1 is a header object (format version, per-country metadata and
-    validation statistics); every following line is one URL record.
+    validation statistics); every following line is one URL record,
+    byte-identical to ``json.dumps(record_to_dict(record))`` (see
+    :func:`write_records`).
     """
     path = pathlib.Path(path)
-    count = 0
     with path.open("w", encoding="utf-8") as handle:
         handle.write(json.dumps(dataset_header(dataset)) + "\n")
-        for record in dataset.iter_records():
+        return write_records(handle, dataset.iter_records())
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+#: Exact ``type()`` of every field of a record :func:`write_records`
+#: encodes from fragments (``server_country`` may also be ``None``).
+_FRAGMENT_TYPES = (
+    str, str, str, int, FilterVia, int, int, int, str, str, bool,
+    HostingCategory, str, bool, ValidationMethod,
+)
+_FRAGMENT_TYPES_UNLOCATED = _FRAGMENT_TYPES[:12] + (type(None),) \
+    + _FRAGMENT_TYPES[13:]
+
+
+def _host_fragments(record: UrlRecord) -> tuple[str, str, str]:
+    """The JSON text of a record around its per-URL values.
+
+    A record's line is ``{"url": U`` + ``head`` + size + ``middle`` +
+    depth + ``tail``; the three fragments depend only on the hostname,
+    country, ``via`` and the nine per-host fields, so every URL of a
+    host shares them.  Formatting follows ``json.dumps`` defaults:
+    ``", "``/``": "`` separators, ASCII-escaped strings, ``int``
+    repr, ``true``/``false``/``null``.
+    """
+    server = record.server_country
+    return (
+        f', "hostname": {_encode_str(record.hostname)}'
+        f', "country": {_encode_str(record.country)}, "size_bytes": ',
+        f', "via": {_encode_str(record.via.value)}, "depth": ',
+        f', "address": {record.address}, "asn": {record.asn}'
+        f', "organization": {_encode_str(record.organization)}'
+        f', "registered_country": {_encode_str(record.registered_country)}'
+        f', "gov_operated": {"true" if record.gov_operated else "false"}'
+        f', "category": {_encode_str(record.category.value)}'
+        f', "server_country": '
+        f'{"null" if server is None else _encode_str(server)}'
+        f', "anycast": {"true" if record.anycast else "false"}'
+        f', "validation": {_encode_str(record.validation.value)}}}\n',
+    )
+
+
+def write_records(handle: IO[str], records: Iterable[UrlRecord]) -> int:
+    """Write one JSON line per record; returns the number written.
+
+    Each line is byte-identical to ``json.dumps(record_to_dict(r))``
+    plus a newline, without building a dict per record: the URL, size
+    and depth are encoded per record and the rest comes from
+    :func:`_host_fragments`, reused while consecutive records share a
+    host (datasets list a host's URLs together).  A record whose field
+    types are not exactly the declared ones (a ``bool`` where an
+    ``int`` belongs, a numpy scalar, a ``str`` subclass, ...) goes
+    through ``json.dumps(record_to_dict(r))`` itself, so it is written
+    (or rejected) exactly as that would.
+    """
+    plain = _FRAGMENT_TYPES
+    unlocated = _FRAGMENT_TYPES_UNLOCATED
+    host = parts = None
+    count = 0
+    for record in records:
+        count += 1
+        types = tuple(map(type, record))
+        if types != plain and types != unlocated:
             handle.write(json.dumps(record_to_dict(record)) + "\n")
-            count += 1
+            continue
+        url, hostname, country, size, via, depth = record[:6]
+        key = (hostname, country, via, record[6:])
+        if key != host:
+            host, parts = key, _host_fragments(record)
+        handle.write(f'{{"url": {_encode_str(url)}{parts[0]}{size}'
+                     f'{parts[1]}{depth}{parts[2]}')
     return count
 
 
@@ -243,6 +312,7 @@ __all__ = [
     "record_to_dict",
     "record_from_dict",
     "save_dataset",
+    "write_records",
     "load_dataset",
     "export_csv",
 ]

@@ -26,6 +26,13 @@ Journal format (one JSON object per line, documented in API.md)::
      "recorded_unix": <wall-clock seconds, provenance only>,
      "manifest": {...RunManifest.to_dict()...}}
 
+Several processes may record into one directory (a CI matrix, a
+scripted sweep): :meth:`RunRegistry.record` appends under an exclusive
+``flock`` on the journal after absorbing whatever other writers
+appended since this instance last read it, so ``seq`` stays the line
+position and a manifest another process already recorded is found
+rather than appended twice.
+
 ``recorded_unix`` is a timestamp, not a duration — the monotonic-clock
 rule applies to measured deltas, and nothing ever subtracts two
 ``recorded_unix`` values to time anything.
@@ -34,13 +41,14 @@ rule applies to measured deltas, and nothing ever subtracts two
 from __future__ import annotations
 
 import dataclasses
+import fcntl
 import hashlib
 import json
 import logging
 import pathlib
 import threading
 import time
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import IO, TYPE_CHECKING, Iterable, Optional, Union
 
 from repro.obs.events import EventLog
 from repro.obs.manifest import RunManifest
@@ -121,30 +129,38 @@ class RunRegistry:
         self._lock = threading.Lock()
         self._runs: list[RegisteredRun] = []
         self._by_id: dict[str, RegisteredRun] = {}
-        self._load()
+        #: Bytes and lines of the journal absorbed so far.
+        self._offset = 0
+        self._lines = 0
+        if self.journal_path.exists():
+            with open(self.journal_path, "rb") as handle:
+                if self._absorb(handle):
+                    # A final fragment without its newline is a torn
+                    # append from a crashed writer: everything before it
+                    # is recovered, and the next record() drops it.
+                    logger.warning(
+                        "%s: ignoring torn final journal line "
+                        "(interrupted append)", self.journal_path,
+                    )
 
     # ---------------------------------------------------------- loading
 
-    def _load(self) -> None:
-        if not self.journal_path.exists():
-            return
-        raw = self.journal_path.read_text(encoding="utf-8")
-        complete = raw.split("\n")
-        if complete and complete[-1] == "":
-            complete.pop()  # trailing newline, the normal case
-        elif complete:
-            # A final fragment without its newline is a torn append from
-            # a crashed writer: recover everything before it.
-            complete.pop()
-            logger.warning(
-                "%s: ignoring torn final journal line (interrupted append)",
-                self.journal_path,
-            )
-        for number, line in enumerate(complete, start=1):
+    def _absorb(self, handle: IO[bytes]) -> bytes:
+        """Parse the complete journal lines past the absorbed offset.
+
+        Returns the trailing bytes that lack their newline (empty in
+        the normal case); the offset stays before them.
+        """
+        handle.seek(self._offset)
+        raw = handle.read()
+        end = raw.rfind(b"\n") + 1
+        for line in raw[:end].split(b"\n")[:-1]:
+            self._lines += 1
+            number = self._lines
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(line.decode("utf-8"))
                 run = RegisteredRun(
                     id=record["id"],
                     seq=record["seq"],
@@ -170,6 +186,8 @@ class RunRegistry:
                 )
             self._runs.append(run)
             self._by_id[run.id] = run
+        self._offset += end
+        return raw[end:]
 
     # --------------------------------------------------------- recording
 
@@ -177,7 +195,8 @@ class RunRegistry:
         """Append a manifest; returns ``(run, created)``.
 
         Idempotent: a manifest whose content address is already in the
-        journal returns the existing entry with ``created=False`` and
+        journal -- recorded by this instance or by any other process
+        since -- returns the existing entry with ``created=False`` and
         writes nothing.
         """
         run_id = manifest_id(manifest)
@@ -185,16 +204,33 @@ class RunRegistry:
             existing = self._by_id.get(run_id)
             if existing is not None:
                 return existing, False
-            run = RegisteredRun(
-                id=run_id,
-                seq=len(self._runs),
-                recorded_unix=round(time.time(), 3),
-                manifest=manifest,
-            )
-            line = json.dumps(run.to_dict(), sort_keys=True,
-                              separators=(",", ":"))
-            with open(self.journal_path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            with open(self.journal_path, "a+b") as handle:
+                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+                if self._absorb(handle):
+                    # Every writer holds the lock, so a fragment seen
+                    # under it is a crashed append: drop it rather than
+                    # glue the next line onto it.
+                    logger.warning(
+                        "%s: dropping torn final journal line "
+                        "(interrupted append)", self.journal_path,
+                    )
+                    handle.truncate(self._offset)
+                existing = self._by_id.get(run_id)
+                if existing is not None:
+                    return existing, False
+                run = RegisteredRun(
+                    id=run_id,
+                    seq=len(self._runs),
+                    recorded_unix=round(time.time(), 3),
+                    manifest=manifest,
+                )
+                line = json.dumps(run.to_dict(), sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+                data = line.encode("utf-8")
+                handle.write(data)
+                handle.flush()
+            self._offset += len(data)
+            self._lines += 1
             self._runs.append(run)
             self._by_id[run_id] = run
         self.events.emit("run.recorded", id=run_id, seq=run.seq,

@@ -53,7 +53,7 @@ def store_to_jsonl(
     uses (over the store-backed dataset's metadata -- no records are
     materialized for it), and records stream one shard at a time.
     """
-    from repro.io import dataset_header, record_to_dict
+    from repro.io import dataset_header, write_records
 
     owns_store = not isinstance(store, DatasetStore)
     if owns_store:
@@ -65,9 +65,7 @@ def store_to_jsonl(
         with jsonl_path.open("w", encoding="utf-8") as handle:
             handle.write(json.dumps(header) + "\n")
             for shard in store.shards():
-                for record in shard.materialize_records():
-                    handle.write(json.dumps(record_to_dict(record)) + "\n")
-                    count += 1
+                count += write_records(handle, shard.materialize_records())
     finally:
         if owns_store:
             store.close()

@@ -1,6 +1,7 @@
 """The run registry: journal integrity, queries, and manifest diffing."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -132,6 +133,77 @@ def test_out_of_order_seq_is_rejected(tmp_path):
     journal.write_text(json.dumps(record) + "\n")
     with pytest.raises(RegistryError, match="append-only"):
         RunRegistry(tmp_path)
+
+
+def test_torn_line_is_dropped_before_the_next_append(tmp_path):
+    registry = RunRegistry(tmp_path)
+    registry.record(make_manifest(seed=1, fingerprint="b" * 32))
+    journal = tmp_path / JOURNAL_NAME
+    journal.write_text(journal.read_text() + '{"id": "trunc')
+
+    reopened = RunRegistry(tmp_path)
+    run, created = reopened.record(make_manifest(seed=2, fingerprint="c" * 32))
+    assert created and run.seq == 1
+    assert [r.seq for r in RunRegistry(tmp_path).runs()] == [0, 1]
+
+
+# ------------------------------------------------- concurrent writers
+
+
+def test_two_instances_on_one_directory_take_turns(tmp_path):
+    first = RunRegistry(tmp_path)
+    second = RunRegistry(tmp_path)
+    a, _ = first.record(make_manifest(seed=1, fingerprint="b" * 32))
+    b, _ = second.record(make_manifest(seed=2, fingerprint="c" * 32))
+    assert (a.seq, b.seq) == (0, 1)
+    assert [r.seq for r in RunRegistry(tmp_path).runs()] == [0, 1]
+    # The first instance absorbs the second's append when it records.
+    c, _ = first.record(make_manifest(seed=3, fingerprint="d" * 32))
+    assert c.seq == 2
+    assert [r.id for r in first.runs()] == [a.id, b.id, c.id]
+
+
+def test_manifest_recorded_elsewhere_is_not_appended_again(tmp_path):
+    first = RunRegistry(tmp_path)
+    second = RunRegistry(tmp_path)
+    run, created = first.record(make_manifest())
+    again, created_again = second.record(make_manifest())
+    assert created and not created_again
+    assert again == run
+    lines = (tmp_path / JOURNAL_NAME).read_text().splitlines()
+    assert len(lines) == 1
+
+
+def _record_many(directory, worker, count, acks):
+    registry = RunRegistry(directory)
+    for index in range(count):
+        manifest = make_manifest(seed=1000 * worker + index,
+                                 fingerprint=f"{worker:x}" * 32)
+        run, created = registry.record(manifest)
+        assert created
+        acks.put((run.id, run.seq))
+
+
+def test_processes_recording_into_one_directory_lose_nothing(tmp_path):
+    workers, per_worker = 4, 6
+    context = multiprocessing.get_context("spawn")
+    acks = context.Queue()
+    processes = [
+        context.Process(target=_record_many,
+                        args=(tmp_path, worker, per_worker, acks))
+        for worker in range(workers)
+    ]
+    for process in processes:
+        process.start()
+    acknowledged = [acks.get(timeout=60)
+                    for _ in range(workers * per_worker)]
+    for process in processes:
+        process.join(timeout=60)
+        assert process.exitcode == 0
+
+    runs = RunRegistry(tmp_path).runs()
+    assert [run.seq for run in runs] == list(range(workers * per_worker))
+    assert {(run.id, run.seq) for run in runs} == set(acknowledged)
 
 
 # ----------------------------------------------------------------- lookup

@@ -218,3 +218,174 @@ def test_export_csv_empty_dataset_keeps_header(tmp_path, dataset):
         path.read_text().strip()
         == full_path.read_text().splitlines()[0].strip()
     )
+
+
+# ------------------------------------------- fragment-encoded jsonl lines
+#
+# save_dataset encodes records from per-host fragments rather than via
+# record_to_dict + json.dumps; every case below holds it to exactly the
+# bytes that the dict path writes.
+
+
+def _oracle_bytes(dataset) -> bytes:
+    from repro.io import dataset_header
+
+    lines = [json.dumps(dataset_header(dataset))]
+    lines.extend(json.dumps(record_to_dict(record))
+                 for record in dataset.iter_records())
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _dataset_of(records, validation) -> GovernmentHostingDataset:
+    from repro.core.dataset import CountryDataset
+
+    by_country: dict = {}
+    for record in records:
+        by_country.setdefault(record.country, []).append(record)
+    return GovernmentHostingDataset(
+        countries={
+            code: CountryDataset(
+                country=code, landing_count=1, records=bucket,
+                discarded_url_count=0, unresolved_hostnames=[],
+                depth_histogram={0: len(bucket)},
+            )
+            for code, bucket in sorted(by_country.items())
+        },
+        validation=validation,
+    )
+
+
+def _assert_matches_oracle(tmp_path, dataset) -> bytes:
+    path = tmp_path / "encoded.jsonl"
+    written = save_dataset(dataset, path)
+    expected = _oracle_bytes(dataset)
+    assert path.read_bytes() == expected
+    assert written == sum(1 for _ in dataset.iter_records())
+    return expected
+
+
+def test_encoded_lines_match_dict_path_on_a_full_run(tmp_path, dataset):
+    _assert_matches_oracle(tmp_path, dataset)
+
+
+@pytest.mark.parametrize("text", [
+    "https://gob.example/ñandú/日本",
+    'https://gov.example/say"hi"',
+    "https://gov.example/back\\slash",
+    "https://gov.example/ctl\x00\x01\x1f\x7f\t\n\r",
+    "https://gov.example/\ud800lone-surrogate",
+    "https://gov.example/emoji-\U0001f3db",
+])
+def test_escaped_strings_match_dict_path(tmp_path, tiny_dataset, text):
+    base = list(tiny_dataset.iter_records())[:3]
+    records = [
+        base[0]._replace(url=text),
+        base[1]._replace(organization=text.replace("https://", "Org ")),
+        base[2]._replace(url=text + "/2", organization='Q"\\\x02'),
+    ]
+    _assert_matches_oracle(
+        tmp_path, _dataset_of(records, tiny_dataset.validation))
+
+
+def test_unlocated_record_matches_dict_path(tmp_path, tiny_dataset):
+    record = next(tiny_dataset.iter_records())
+    records = [record._replace(server_country=None),
+               record._replace(url=record.url + "/x", server_country="FR")]
+    encoded = _assert_matches_oracle(
+        tmp_path, _dataset_of(records, tiny_dataset.validation))
+    assert b'"server_country": null' in encoded
+
+
+def test_faulted_dataset_matches_dict_path(tmp_path):
+    from repro import Pipeline, SyntheticWorld, WorldConfig
+
+    config = WorldConfig(seed=13, scale=0.02, countries=("BR", "US"),
+                         include_topsites=False, fault_rate=0.1)
+    faulted = Pipeline(SyntheticWorld.generate(config)).run(["BR", "US"])
+    assert faulted.faults.countries
+    encoded = _assert_matches_oracle(tmp_path, faulted)
+    assert b'"faults"' in encoded.split(b"\n", 1)[0]
+
+
+@pytest.mark.parametrize("fr_category", ["GOVT_SOE", "P3_GLOBAL"])
+def test_hostname_in_two_countries_keeps_each_country(tmp_path,
+                                                      tiny_dataset,
+                                                      fr_category):
+    from repro.categories import HostingCategory
+
+    record = next(tiny_dataset.iter_records())
+    fr = HostingCategory[fr_category]
+    records = [
+        record._replace(country="BR", category=HostingCategory.GOVT_SOE),
+        record._replace(url=record.url + "/b", country="BR",
+                        category=HostingCategory.GOVT_SOE),
+        record._replace(country="FR", category=fr),
+        record._replace(url=record.url + "/b", country="FR", category=fr),
+    ]
+    encoded = _assert_matches_oracle(
+        tmp_path, _dataset_of(records, tiny_dataset.validation))
+    assert encoded.count(b'"country": "FR"') == 2
+
+
+def test_reloaded_and_store_backed_datasets_match_dict_path(tmp_path,
+                                                            tiny_dataset):
+    from repro.store import load_store_dataset, store_to_jsonl, write_store
+
+    first = tmp_path / "first.jsonl"
+    save_dataset(tiny_dataset, first)
+    loaded = load_dataset(first)
+    canonical = _assert_matches_oracle(tmp_path, loaded)
+
+    store_dir = tmp_path / "tiny.store"
+    write_store(loaded, store_dir)
+    assert _assert_matches_oracle(
+        tmp_path, load_store_dataset(store_dir)) == canonical
+    converted = tmp_path / "converted.jsonl"
+    store_to_jsonl(store_dir, converted)
+    assert converted.read_bytes() == canonical
+
+
+def test_host_fields_equal_but_differently_typed_take_dict_path(
+        tmp_path, tiny_dataset):
+    # 1 == True and hash(1) == hash(True): a record that repeats its
+    # host's values with other types must not reuse that host's text.
+    record = next(tiny_dataset.iter_records())._replace(asn=1,
+                                                        gov_operated=True)
+    records = [
+        record,
+        record._replace(url=record.url + "/a", asn=True),
+        record._replace(url=record.url + "/b", gov_operated=1),
+        record._replace(url=record.url + "/c", size_bytes=False),
+        record._replace(url=record.url + "/d"),
+    ]
+    encoded = _assert_matches_oracle(
+        tmp_path, _dataset_of(records, tiny_dataset.validation))
+    lines = encoded.decode().splitlines()[1:]
+    assert '"asn": true' in lines[1]
+    assert '"gov_operated": 1' in lines[2]
+    assert '"size_bytes": false' in lines[3]
+
+
+def test_str_subclass_takes_dict_path(tmp_path, tiny_dataset):
+    class Url(str):
+        pass
+
+    record = next(tiny_dataset.iter_records())
+    records = [record, record._replace(url=Url(record.url + "/sub"))]
+    _assert_matches_oracle(
+        tmp_path, _dataset_of(records, tiny_dataset.validation))
+
+
+@pytest.mark.parametrize("field", ["size_bytes", "depth", "address", "asn"])
+def test_numpy_scalar_field_is_rejected_like_the_dict_path(tmp_path,
+                                                           tiny_dataset,
+                                                           field):
+    np = pytest.importorskip("numpy")
+    record = next(tiny_dataset.iter_records())
+    odd = record._replace(url=record.url + "/np",
+                          **{field: np.int64(getattr(record, field))})
+    with pytest.raises(TypeError):
+        json.dumps(record_to_dict(odd))
+    dataset = _dataset_of([record, odd], tiny_dataset.validation)
+    with pytest.raises(TypeError, match="int64"):
+        save_dataset(dataset, tmp_path / "np.jsonl")
