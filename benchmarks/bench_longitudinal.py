@@ -15,8 +15,7 @@ Archived as ``BENCH_longitudinal.json``.  Gates:
 * cache hit-rate equals the unchanged-country fraction *exactly*
   (hits == unchanged, misses == changed);
 * the incremental dataset is byte-identical (jsonl export) to the cold
-  run of the same derived config under serial, threads and processes
-  executors.
+  run of the same derived config.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from conftest import BENCH_SCALE, BENCH_SEED, write_bench_json
 from repro import Pipeline, SyntheticWorld, WorldConfig
 from repro.cache import CacheStats, ScanCache
 from repro.evolve import EvolutionRates, SnapshotSeries
-from repro.exec import make_executor
 from repro.io import save_dataset
 
 #: Monthly-churn evolution rates: a handful of the 61 countries see a
@@ -100,17 +98,14 @@ def test_incremental_snapshot_vs_cold(report, tmp_path_factory):
     cold_s = _best_of(_REPEATS, pipeline.run)
     speedup = cold_s / incremental_s if incremental_s else float("inf")
 
-    # Byte identity: warm runs under every executor == the cold run.
+    # Byte identity: the warm run == the cold run.
     cold_bytes = _dataset_bytes(pipeline.run(), tmp, "cold")
-    identical = {}
-    for name in ("serial", "threads", "processes"):
-        executor = make_executor(name)
-        cache = prime()
-        dataset = pipeline.run(executor=executor, cache=cache)
-        identical[name] = (
-            _dataset_bytes(dataset, tmp, f"warm-{name}") == cold_bytes
-            and cache.stats.hits == total - changed
-        )
+    cache = prime()
+    dataset = pipeline.run(cache=cache)
+    identical = {"serial": (
+        _dataset_bytes(dataset, tmp, "warm-serial") == cold_bytes
+        and cache.stats.hits == total - changed
+    )}
 
     report(
         "longitudinal",

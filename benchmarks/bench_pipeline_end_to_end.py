@@ -1,21 +1,12 @@
-"""End-to-end timing: world generation and the full measurement pipeline.
+"""End-to-end timing: world generation and the full measurement pipeline,
+cold and with a warm scan cache."""
 
-The parallel variants exercise the ``repro.exec`` strategies and verify
-the executor contract as they go: every strategy must reproduce the
-serial dataset exactly.  The speedup report compares serial against a
-4-worker process pool; the >=2x assertion only applies on machines with
-at least four cores (the scan phase is GIL-bound, so threads are not
-expected to beat serial on CPU-bound work).
-"""
-
-import os
 import time
 
 from conftest import BENCH_SCALE, BENCH_SEED, write_bench_json
 
 from repro import Pipeline, SyntheticWorld, WorldConfig
 from repro.cache import ScanCache
-from repro.exec import ProcessExecutor, ThreadExecutor
 from repro.io import save_dataset
 
 #: The cache speedup acceptance gate runs at this fixed scale (not
@@ -38,73 +29,6 @@ def test_full_pipeline(benchmark):
 
     dataset = benchmark.pedantic(run, rounds=1, iterations=1)
     assert dataset.summarize().total_unique_urls > 0
-
-
-def test_full_pipeline_threads(benchmark):
-    config = WorldConfig(seed=BENCH_SEED, scale=BENCH_SCALE)
-    world = SyntheticWorld.generate(config)
-    serial = Pipeline(world).run()
-    executor = ThreadExecutor(workers=4)
-    try:
-        dataset = benchmark.pedantic(
-            lambda: Pipeline(world).run(executor=executor),
-            rounds=1, iterations=1,
-        )
-    finally:
-        executor.close()
-    assert dataset.summarize() == serial.summarize()
-    assert dataset.validation == serial.validation
-
-
-def test_full_pipeline_processes(benchmark):
-    config = WorldConfig(seed=BENCH_SEED, scale=BENCH_SCALE)
-    world = SyntheticWorld.generate(config)
-    serial = Pipeline(world).run()
-    executor = ProcessExecutor(workers=min(4, os.cpu_count() or 1))
-    try:
-        # First run pays the per-worker world rebuild; time the steady state.
-        Pipeline(world).run(executor=executor)
-        dataset = benchmark.pedantic(
-            lambda: Pipeline(world).run(executor=executor),
-            rounds=1, iterations=1,
-        )
-    finally:
-        executor.close()
-    assert dataset.summarize() == serial.summarize()
-    assert dataset.validation == serial.validation
-
-
-def test_parallel_speedup_report(report):
-    """Serial vs 4-worker process pool; >=2x asserted on 4+-core hosts."""
-    cores = os.cpu_count() or 1
-    workers = min(4, cores)
-    config = WorldConfig(seed=BENCH_SEED, scale=BENCH_SCALE)
-    world = SyntheticWorld.generate(config)
-
-    t0 = time.perf_counter()
-    serial = Pipeline(world).run()
-    serial_s = time.perf_counter() - t0
-
-    executor = ProcessExecutor(workers=workers)
-    try:
-        Pipeline(world).run(executor=executor)  # warm the worker pool
-        t0 = time.perf_counter()
-        parallel = Pipeline(world).run(executor=executor)
-        parallel_s = time.perf_counter() - t0
-    finally:
-        executor.close()
-
-    speedup = serial_s / parallel_s if parallel_s else float("inf")
-    report(
-        "pipeline_parallel_speedup",
-        f"cores={cores} workers={workers}\n"
-        f"serial:   {serial_s:.3f} s\n"
-        f"parallel: {parallel_s:.3f} s (steady-state, pool warm)\n"
-        f"speedup:  {speedup:.2f}x",
-    )
-    assert parallel.summarize() == serial.summarize()
-    if cores >= 4:
-        assert speedup >= 2.0, f"expected >=2x on {cores} cores, got {speedup:.2f}x"
 
 
 def test_full_pipeline_warm_cache(benchmark, tmp_path):

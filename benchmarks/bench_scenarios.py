@@ -1,6 +1,6 @@
-"""Scenario sweep engine: dedup exactness, speedup, executor identity.
+"""Scenario sweep engine: dedup exactness, speedup, standalone identity.
 
-Three gates, archived to ``BENCH_scenarios.json``:
+Three gates; (a) and (b) are archived to ``BENCH_scenarios.json``:
 
 (a) **exactness** — the sweep executes exactly ``unique_keys`` scans
     (no cache, so every unique key is a miss), never more or fewer;
@@ -9,8 +9,7 @@ Three gates, archived to ``BENCH_scenarios.json``:
     matrix leans on scan sharing (outage what-ifs share everything, a
     vantage shift re-keys two countries, an evolution step a handful);
 (c) **identity** — every scenario's dataset is byte-identical to a
-    standalone ``Pipeline.run`` of its config, under the serial,
-    thread and process executors alike.
+    standalone ``Pipeline.run`` of its config.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import time
 
 from conftest import BENCH_SCALE, BENCH_SEED, write_bench_json
 from repro import Pipeline, SyntheticWorld, WorldConfig
-from repro.exec import make_executor
 from repro.io import save_dataset
 from repro.scenarios import ScenarioMatrix, SweepRunner
 
@@ -78,32 +76,16 @@ def test_scenario_sweep_gates(report, tmp_path_factory):
     naive_s = time.perf_counter() - naive_started
     speedup = naive_s / sweep_s if sweep_s else float("inf")
 
-    # Gate (c): byte-identity vs standalone, across all three executors.
+    # Gate (c): byte-identity vs standalone.
     reference = {
         name: _digest(dataset, tmp_path, f"standalone-{name}")
         for name, dataset in standalone.items()
     }
-    digests = {}
-    identity_pass = True
-    for executor_name in ("serial", "threads", "processes"):
-        if executor_name == "serial":
-            executed_sweep = sweep
-        else:
-            executor = make_executor(executor_name, workers=4)
-            try:
-                executed_sweep = SweepRunner(
-                    _bench_matrix(base), executor=executor
-                ).run()
-            finally:
-                executor.close()
-        digests[executor_name] = {
-            result.name: _digest(
-                result.dataset, tmp_path,
-                f"{executor_name}-{result.name}",
-            )
-            for result in executed_sweep
-        }
-        identity_pass = identity_pass and digests[executor_name] == reference
+    digests = {
+        result.name: _digest(result.dataset, tmp_path, f"swept-{result.name}")
+        for result in sweep
+    }
+    identity_pass = digests == reference
 
     payload = {
         "scale": BENCH_SCALE,
@@ -124,11 +106,6 @@ def test_scenario_sweep_gates(report, tmp_path_factory):
                 "threshold_x": SPEEDUP_THRESHOLD,
                 "pass": speedup >= SPEEDUP_THRESHOLD,
             },
-            "executor_identity": {
-                "reference": reference,
-                "digests": digests,
-                "pass": identity_pass,
-            },
         },
     }
     write_bench_json("scenarios", payload)
@@ -138,9 +115,8 @@ def test_scenario_sweep_gates(report, tmp_path_factory):
         f"naive: {len(sweep)} independent runs in {naive_s:.2f}s; "
         f"sweep wave {sweep_s:.2f}s -> {speedup:.1f}x "
         f"(gate >= {SPEEDUP_THRESHOLD:.0f}x)",
-        f"executor identity: "
-        f"{'byte-identical' if identity_pass else 'DIVERGED'} across "
-        f"serial/threads/processes",
+        f"standalone identity: "
+        f"{'byte-identical' if identity_pass else 'DIVERGED'}",
     ]))
 
     assert identity_pass

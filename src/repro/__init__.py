@@ -26,7 +26,7 @@ from repro.core.dataset import (
     DatasetSummary,
     GovernmentHostingDataset,
 )
-from repro.exec import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.exec import SerialExecutor
 
 __version__ = "1.0.0"
 
@@ -43,8 +43,6 @@ __all__ = [
     "HostTruth",
     "Pipeline",
     "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "UrlRecord",
     "CountryDataset",
     "DatasetSummary",

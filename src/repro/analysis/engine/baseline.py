@@ -543,7 +543,8 @@ def baseline_feature_matrix(
         outcomes.append(intl)
     features = _standardize(np.array(raw_features, dtype=float))
     outcome = np.array(outcomes, dtype=float)
-    outcome = (outcome - outcome.mean()) / (outcome.std() or 1.0)
+    if outcome.size:  # the mean of no countries is undefined
+        outcome = (outcome - outcome.mean()) / (outcome.std() or 1.0)
     return codes, features, outcome
 
 

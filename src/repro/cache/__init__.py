@@ -10,11 +10,10 @@ invalidates exactly the affected entries and nothing silently goes
 stale.  Entries carry an integrity digest; corrupt, truncated or
 mismatched entries are evicted and recomputed, never trusted.
 
-Warm starts are wired through the execution layer
-(:meth:`~repro.exec.base.ExecutionStrategy.scan_cached`): cache hits are
-loaded in canonical country order, misses fan out through whichever
-serial/thread/process executor the caller picked, and the merged dataset
-is byte-identical cold vs. warm and across executors.
+Warm starts are wired through the pipeline
+(:meth:`~repro.core.pipeline.Pipeline.scan`): cache hits are loaded in
+canonical country order, only the misses are scanned, and the merged
+dataset is byte-identical cold vs. warm.
 """
 
 from repro.cache.fingerprint import (

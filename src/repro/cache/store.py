@@ -95,8 +95,7 @@ class CacheStats:
     bytes_read: int = 0
     bytes_written: int = 0
     #: Estimated scan time the hits avoided, from the per-entry scan
-    #: cost recorded at store time (wall clock of the miss batch spread
-    #: over its countries, so parallel fan-outs make this conservative).
+    #: cost recorded at store time (each country's own scan seconds).
     time_saved_s: float = 0.0
 
     @property

@@ -35,7 +35,6 @@ import sys
 from typing import Optional, Sequence
 
 from repro import Pipeline, SyntheticWorld, WorldConfig
-from repro.exec import EXECUTOR_NAMES, make_executor
 from repro.faults import FAULT_PROFILE_NAMES
 from repro.reporting.sections import SECTION_NAMES
 from repro.reporting.tables import render_table
@@ -69,13 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--store-dir", metavar="PATH",
                      help="write the dataset as a sharded columnar store "
                           "(mmap-backed analyses; see `repro-gov convert`)")
-    run.add_argument("--executor", choices=EXECUTOR_NAMES, default=None,
-                     help="execution strategy for the per-country scans "
-                          "(default: serial; --workers alone implies "
-                          "processes, the scan phase is GIL-bound)")
-    run.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="worker count for parallel executors "
-                          "(default: the machine's CPU count)")
     run.add_argument("--fault-rate", type=float, default=0.0, metavar="R",
                      help="probability in [0, 1] that a measurement "
                           "operation fails and must be retried or degraded "
@@ -139,12 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--manifest", action="store_true",
                         help="write a provenance manifest per snapshot, "
                              "chained to its parent (requires --out-dir)")
-    evolve.add_argument("--executor", choices=EXECUTOR_NAMES,
-                        default="serial",
-                        help="execution strategy for the per-country "
-                             "scans (default: serial)")
-    evolve.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker count for parallel executors")
     evolve.add_argument("--registry", metavar="DIR", default=None,
                         help="append every snapshot's manifest to the "
                              "cross-run registry journal under DIR")
@@ -169,12 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--cache-dir", metavar="PATH", default=None,
                        help="persistent scan cache shared across the "
                             "whole sweep (and with `repro-gov run`)")
-    sweep.add_argument("--executor", choices=EXECUTOR_NAMES,
-                       default="serial",
-                       help="execution strategy for the deduplicated "
-                            "scan wave (default: serial)")
-    sweep.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="worker count for parallel executors")
     sweep.add_argument("--out-dir", metavar="PATH", default=None,
                        help="write each scenario's dataset as "
                             "<out-dir>/<scenario>.jsonl")
@@ -346,9 +326,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("error: --manifest requires --out", file=sys.stderr)
         return 2
     world = SyntheticWorld.generate(config)
-    executor_name = args.executor
-    if executor_name is None:
-        executor_name = "processes" if args.workers else "serial"
     cache = None
     if args.cache_clear and not args.cache_dir:
         print("error: --cache-clear requires --cache-dir", file=sys.stderr)
@@ -371,12 +348,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         obs = Observability(
             progress=_progress_printer if args.progress else None
         )
-    executor = make_executor(executor_name, workers=args.workers)
     pipeline = Pipeline(world, obs=obs)
-    try:
-        dataset = pipeline.run(executor=executor, cache=cache)
-    finally:
-        executor.close()
+    dataset = pipeline.run(cache=cache)
     summary = dataset.summarize()
     print(f"measured {summary.total_unique_urls:,} URLs over "
           f"{summary.unique_hostnames:,} hostnames "
@@ -422,7 +395,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             from repro.obs import RunManifest, manifest_path_for
 
             manifest = RunManifest.collect(
-                pipeline, dataset, executor=executor, cache=cache, obs=obs
+                pipeline, dataset, cache=cache, obs=obs
             )
             if args.manifest:
                 path = manifest.write(manifest_path_for(args.out))
@@ -531,16 +504,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         from repro.obs import RunRegistry
 
         registry = RunRegistry(args.registry)
-    executor = make_executor(args.executor, workers=args.workers)
     try:
-        runner = SweepRunner(matrix, cache=cache, executor=executor,
-                             registry=registry)
-        sweep = runner.run()
+        sweep = SweepRunner(matrix, cache=cache, registry=registry).run()
     except MatrixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        executor.close()
     divergences = compare_sweep(sweep)
     print(render_sweep_report(sweep, divergences))
     if cache is not None:
@@ -649,19 +617,14 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         from repro.obs import RunRegistry
 
         registry = RunRegistry(args.registry)
-    executor = make_executor(args.executor, workers=args.workers)
     series = SnapshotSeries(
         config, args.snapshots,
         evolution_seed=args.evolve_seed,
         cache=args.cache_dir,
-        executor=executor,
         collect_manifests=args.manifest,
         registry=registry,
     )
-    try:
-        records = series.run()
-    finally:
-        executor.close()
+    records = series.run()
     for record in records:
         changed = ", ".join(record.changed_countries) or "none"
         if record.cache_stats is not None:

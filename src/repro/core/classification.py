@@ -32,9 +32,9 @@ class ProviderFootprint:
     """Observed continental footprint of every serving AS.
 
     A plain set-union monoid (identity: ``ProviderFootprint()``), so
-    per-country footprints collected by parallel pipeline shards merge
+    per-country footprints, scanned or loaded from the scan cache, merge
     into the global footprint in any grouping or order.  Picklable, so
-    process workers can ship their shard's footprint back to the driver.
+    the cache can store it with its country's partial.
     """
 
     continents_by_asn: dict[int, set[Continent]] = dataclasses.field(
@@ -86,7 +86,7 @@ class CategoryClassifier:
             self.observe(asn, government_country)
 
     def ingest(self, footprint: ProviderFootprint) -> None:
-        """Merge an externally collected footprint (parallel reduction)."""
+        """Merge an externally collected footprint (cross-country merge)."""
         self._footprint = self._footprint.merge(footprint)
 
     def snapshot(self) -> "CategoryClassifier":

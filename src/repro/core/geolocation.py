@@ -65,8 +65,8 @@ class GeoVerdict:
     #: ``"hoiho"``, ``"ipmap"``, ``"single_radius"``, or None when every
     #: step came up empty.  A pure function of the world (like the rest
     #: of the verdict), so the observability layer's funnel metrics can
-    #: be replayed deterministically on the driver no matter which shard
-    #: computed the verdict.
+    #: be replayed deterministically no matter which scan computed the
+    #: verdict or whether it came from the scan cache.
     source: Optional[str] = None
 
     @property
@@ -80,9 +80,8 @@ class ValidationStats:
     """Tallies reproducing Table 4 of the paper.
 
     Stats form a commutative monoid under :meth:`merge` (identity:
-    ``ValidationStats()``), so per-shard tallies from parallel pipeline
-    executions can be reduced in any grouping without changing the
-    result.
+    ``ValidationStats()``), so per-country tallies can be reduced in
+    any grouping without changing the result.
     """
 
     unicast_ap: int = 0
@@ -121,7 +120,7 @@ class ValidationStats:
 
         Callers are responsible for the count-each-address-once rule;
         this method only encodes how a verdict maps onto the columns
-        (shared by the serial geolocator and the parallel replay).
+        (shared by the geolocator and the ``merge_validation`` replay).
         """
         if verdict.anycast:
             if verdict.method is ValidationMethod.ACTIVE_PROBING:

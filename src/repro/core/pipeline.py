@@ -14,11 +14,11 @@ Runs the full methodology over a synthetic world:
 
 Execution is split into a per-country **phase 1** (steps 1-5, no
 cross-country data dependency) and a cheap **phase 2** (step 6, which
-needs every AS's cross-country footprint).  Phase 1 fans out over any
-:class:`~repro.exec.ExecutionStrategy`; the two cross-country
-reductions — provider footprints and Table 4 validation stats — are
-merged deterministically on the driver, so parallel runs are
-bit-identical to serial ones.
+needs every AS's cross-country footprint).  Phase 1 runs one country
+after another, each either scanned or served from the scan cache; the
+two cross-country reductions — provider footprints and Table 4
+validation stats — are merged with order-independent functions, so a
+dataset does not depend on which countries came from the cache.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from repro.core.urlfilter import FilterOutcome, GovernmentUrlFilter
 from repro.datagen.generator import SyntheticWorld
 from repro.datagen.seeds import derive_rng
 from repro.exec import (
-    ExecutionStrategy,
     SerialExecutor,
     merge_faults,
     merge_footprints,
@@ -122,10 +121,9 @@ class Pipeline:
         self.world = world
         #: Observability sink (None: no tracing/metrics).  Purely
         #: read-side instrumentation — a run with ``obs`` set produces a
-        #: byte-identical dataset to one without (tested per executor).
+        #: byte-identical dataset to one without.
         self.obs = obs
-        #: Wall seconds of the most recent phase-1 scan per country,
-        #: recorded by every executor (process shards ship theirs back).
+        #: Wall seconds of the most recent phase-1 scan per country.
         #: Feeds the cache's per-entry cost accounting and the progress
         #: heartbeat; never serialized into datasets.
         self.scan_seconds: dict[str, float] = {}
@@ -142,11 +140,6 @@ class Pipeline:
         self.fault_plan = faults if faults is not None else FaultPlan.from_config(
             world.config
         )
-        #: Whether worker processes can rebuild an equivalent pipeline
-        #: from the world's config alone (False once a custom geolocator
-        #: or fault plan is injected; their configuration cannot be
-        #: shipped to workers).
-        self.supports_process_execution = geolocator is None and faults is None
         #: Whether scan results may be served from a persistent cache.
         #: A custom fault plan is fine — the frozen plan fingerprints
         #: exactly — but a custom geolocator's behavior is opaque, so
@@ -160,7 +153,7 @@ class Pipeline:
             ipmap=world.ipmap,
         )
         #: Geolocation verdict per (hostname, vantage country), shared
-        #: across shards and repeated runs.  Sound because verdicts are
+        #: across countries and repeated runs.  Sound because verdicts are
         #: pure functions of the world (ping jitter is keyed per
         #: probe/address pair, not drawn from a shared stream).
         self._host_verdicts: dict[tuple[str, str], GeoVerdict] = {}
@@ -370,56 +363,81 @@ class Pipeline:
             depth_histogram=partial.depth_histogram,
         )
 
+    def scan(
+        self,
+        codes: Sequence[str],
+        cache: Optional["ScanCache"] = None,
+    ) -> list[CountryPartial]:
+        """Phase 1 for every country in ``codes``, returned in that order.
+
+        With a ``cache``, hits are loaded first and only the misses are
+        scanned, each stored back tagged with its own scan's wall
+        seconds so that future hits report the time they actually save.
+        The partials come back in the order of ``codes`` either way, so
+        a warm run merges exactly like a cold one and the dataset is
+        byte-identical.
+        """
+        if cache is None:
+            return [self.scan_partial(code) for code in codes]
+        if not self.supports_caching:
+            raise ValueError(
+                "caching requires the pipeline's default geolocator; a "
+                "custom geolocator's results cannot be keyed by the world "
+                "config — run without cache="
+            )
+        keyed = [(code, cache.key_for(self, code)) for code in codes]
+        partials: dict[str, CountryPartial] = {}
+        misses: list[tuple[str, str]] = []
+        for code, key in keyed:
+            hit = cache.load(key, code)
+            if hit is None:
+                misses.append((code, key))
+            else:
+                partials[code] = hit
+        for code, key in misses:
+            partial = self.scan_partial(code)
+            cache.store(key, partial,
+                        scan_s=self.scan_seconds[partial.country])
+            partials[code] = partial
+        return [partials[code] for code, _ in keyed]
+
     def run(
         self,
         countries: Optional[Sequence[str]] = None,
-        executor: Optional[ExecutionStrategy] = None,
+        executor: Optional[SerialExecutor] = None,
         cache: Optional["ScanCache"] = None,
     ) -> GovernmentHostingDataset:
         """Run the full pipeline and assemble the dataset.
 
-        ``executor`` selects the execution strategy for the per-country
-        work (default: :class:`~repro.exec.SerialExecutor`).  Every
-        strategy yields an identical dataset; callers that pass their
-        own executor also own its lifetime (call ``close()`` when done,
-        the pool is reusable across runs).
+        Countries are scanned one after another on the calling thread;
+        ``executor`` may name that strategy (a
+        :class:`~repro.exec.SerialExecutor`) and changes nothing.
 
         ``cache`` enables warm starts: phase-1 partials are served from
         the :class:`~repro.cache.ScanCache` where valid and only the
         misses are scanned (then stored back).  Warm runs are
-        byte-identical to cold ones under every executor; the cache's
-        ``stats`` record what the run hit, missed and saved.
+        byte-identical to cold ones; the cache's ``stats`` record what
+        the run hit, missed and saved.
         """
         codes = [c.upper() for c in countries] if countries else self.world.country_codes()
-        strategy = executor or SerialExecutor()
+        name = SerialExecutor.name
         obs = self.obs
-        logger.info("pipeline run: %d countries via %s", len(codes),
-                    strategy.name)
+        logger.info("pipeline run: %d countries via %s", len(codes), name)
 
-        run_cm = (obs.run_scope(strategy.name, len(codes))
+        run_cm = (obs.run_scope(name, len(codes))
                   if obs is not None else nullcontext())
         phase = obs.phase if obs is not None else _null_span
         with run_cm:
-            # Phase 1: independent per-country scans, fanned out
-            # (warm-started from the cache when one is given).
+            # Phase 1: independent per-country scans (warm-started from
+            # the cache when one is given).
             with phase("scan", cached=cache is not None):
-                if cache is not None:
-                    if not self.supports_caching:
-                        raise ValueError(
-                            "caching requires the pipeline's default "
-                            "geolocator; a custom geolocator's results "
-                            "cannot be keyed by the world config — run "
-                            "without cache="
-                        )
-                    partials = strategy.scan_cached(self, codes, cache)
-                else:
-                    partials = strategy.scan(self, codes)
+                partials = self.scan(codes, cache)
 
-            dataset = self._assemble(partials, strategy, phase)
+            dataset = self._assemble(partials, phase)
 
         if obs is not None:
             # Driver-side metrics: replayed from the partials in
-            # canonical order (covers cache hits, executor-independent).
+            # canonical order (covers cache hits).
             obs.record_partials(partials)
             obs.record_faults(dataset.faults)
             if cache is not None:
@@ -427,7 +445,7 @@ class Pipeline:
         logger.info("pipeline run finished: %d countries", len(codes))
         return dataset
 
-    def _assemble(self, partials, strategy, phase) -> GovernmentHostingDataset:
+    def _assemble(self, partials, phase) -> GovernmentHostingDataset:
         """The merge barrier and phase 2, shared by :meth:`run`/:meth:`assemble`."""
         # Barrier: cross-country reductions, merged deterministically.
         with phase("merge"):
@@ -435,14 +453,13 @@ class Pipeline:
             validation = merge_validation(partials)
             faults = merge_faults(partials)
 
-        # Phase 2: categorize + record assembly, parallelizable again.
-        # One classifier snapshot serves every country's deferred
-        # assembler; per-country snapshots would each copy the footprint.
+        # Phase 2: categorize + deferred record assembly.  One
+        # classifier snapshot serves every country's assembler;
+        # per-country snapshots would each copy the footprint.
         with phase("finalize"):
-            finalize_one = functools.partial(
-                self.finalize_country, categories=self.categories.snapshot()
-            )
-            finalized = strategy.finalize(self, partials, finalize_one)
+            categories = self.categories.snapshot()
+            finalized = [self.finalize_country(partial, categories)
+                         for partial in partials]
         return GovernmentHostingDataset(
             countries={dataset.country: dataset for dataset in finalized},
             validation=validation,
@@ -450,9 +467,7 @@ class Pipeline:
         )
 
     def assemble(
-        self,
-        partials: Sequence[CountryPartial],
-        executor: Optional[ExecutionStrategy] = None,
+        self, partials: Sequence[CountryPartial]
     ) -> GovernmentHostingDataset:
         """Merge + finalize externally supplied phase-1 partials.
 
@@ -461,14 +476,13 @@ class Pipeline:
         the entry point it assembles each scenario's dataset through.
         Produces exactly what :meth:`run` would for the same partials:
         the same merge barrier, one classifier snapshot, the same
-        executor-driven finalize.  Like :meth:`run`, it ingests the
-        merged footprint into this pipeline's classifier — assemble a
-        given pipeline's partials once, not repeatedly.
+        finalize.  Like :meth:`run`, it ingests the merged footprint
+        into this pipeline's classifier — assemble a given pipeline's
+        partials once, not repeatedly.
         """
-        strategy = executor or SerialExecutor()
         obs = self.obs
         phase = obs.phase if obs is not None else _null_span
-        dataset = self._assemble(partials, strategy, phase)
+        dataset = self._assemble(partials, phase)
         if obs is not None:
             obs.record_partials(partials)
             obs.record_faults(dataset.faults)

@@ -35,7 +35,6 @@ from repro.evolve.mutations import Mutation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.dataset import GovernmentHostingDataset
-    from repro.exec import ExecutionStrategy
     from repro.obs import Observability, RunManifest
     from repro.obs.registry import RunRegistry
 
@@ -95,7 +94,6 @@ class SnapshotSeries:
         rates: Optional[EvolutionRates] = None,
         cache: Optional[Union[ScanCache, str]] = None,
         max_depth: int = DEFAULT_MAX_DEPTH,
-        executor: Optional["ExecutionStrategy"] = None,
         obs: Optional["Observability"] = None,
         collect_manifests: bool = False,
         verify_hit_rates: bool = True,
@@ -108,7 +106,6 @@ class SnapshotSeries:
         self.model = EvolutionModel(evolution_seed, rates)
         self.cache = ScanCache(cache) if isinstance(cache, str) else cache
         self.max_depth = max_depth
-        self.executor = executor
         self.obs = obs
         self.collect_manifests = collect_manifests
         self.verify_hit_rates = verify_hit_rates
@@ -153,7 +150,7 @@ class SnapshotSeries:
             # Fresh per-snapshot accounting; the cumulative view lives
             # in total_stats.
             self.cache.stats = CacheStats()
-        dataset = pipeline.run(executor=self.executor, cache=self.cache)
+        dataset = pipeline.run(cache=self.cache)
         if self.cache is not None:
             snapshot_stats = self.cache.stats
             self._accumulate(snapshot_stats)
@@ -179,8 +176,7 @@ class SnapshotSeries:
             from repro.obs import RunManifest
 
             manifest = RunManifest.collect(
-                pipeline, dataset, executor=self.executor,
-                cache=self.cache, obs=self.obs,
+                pipeline, dataset, cache=self.cache, obs=self.obs,
                 evolution=self.evolution_provenance(record),
             )
             if self.collect_manifests:

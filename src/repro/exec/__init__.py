@@ -1,22 +1,21 @@
-"""Pluggable execution layer for the measurement pipeline.
+"""How the pipeline's per-country scans are scheduled, and their partials.
 
-``Pipeline.run(countries, executor=...)`` accepts any
-:class:`~repro.exec.base.ExecutionStrategy`:
+Every run scans its countries one after another on the calling thread
+(:meth:`~repro.core.pipeline.Pipeline.scan`).  Thread and process pools
+were measured end to end and never beat that: the scan is GIL-bound,
+and a process worker must generate the whole world again before it
+scans its share, which costs at least as much as the scan itself.
 
-* :class:`SerialExecutor` — one country after another (default);
-* :class:`ThreadExecutor` — a thread pool sharing the driver's world;
-* :class:`ProcessExecutor` — a process pool whose workers rebuild the
-  world deterministically from its ``WorldConfig``.
-
-All strategies produce **bit-identical** datasets: per-country work is
-independent, and the two cross-country reductions (provider footprints,
-validation stats) are merged with order-independent functions in
-:mod:`repro.exec.partials`.
+:class:`SerialExecutor` names that one strategy, so callers can pass an
+executor to ``Pipeline.run`` and run manifests can record how a run was
+scheduled.  Per-country work is still independent, and the two
+cross-country reductions (provider footprints, validation stats) are
+merged with order-independent functions in :mod:`repro.exec.partials`,
+which the scan cache and the scenario sweep's dedup rely on.
 """
 
 from typing import Optional
 
-from repro.exec.base import ExecutionStrategy
 from repro.exec.partials import (
     CountryPartial,
     HostAnnotation,
@@ -24,39 +23,42 @@ from repro.exec.partials import (
     merge_footprints,
     merge_validation,
 )
-from repro.exec.processes import ProcessExecutor
-from repro.exec.serial import SerialExecutor
-from repro.exec.threads import ThreadExecutor
-
-#: CLI names of the available strategies.
-EXECUTOR_NAMES = ("serial", "threads", "processes")
 
 
-def make_executor(
-    name: str, workers: Optional[int] = None
-) -> ExecutionStrategy:
-    """Build a strategy from its CLI name (``--executor``/``--workers``)."""
-    if name == "serial":
-        return SerialExecutor()
-    if name == "threads":
-        return ThreadExecutor(workers=workers)
-    if name == "processes":
-        return ProcessExecutor(workers=workers)
-    raise ValueError(
-        f"unknown executor {name!r}; expected one of {', '.join(EXECUTOR_NAMES)}"
-    )
+class SerialExecutor:
+    """The one scan strategy: every country inline on the calling thread."""
+
+    #: Strategy name (the ``executor`` tag of the ``pipeline.run`` span).
+    name = "serial"
+
+    def close(self) -> None:
+        """Release nothing: there is no pool to shut down."""
+
+    def __enter__(self) -> "SerialExecutor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+def make_executor(name: str, workers: Optional[int] = None) -> SerialExecutor:
+    """Build the executor called ``name``; ``"serial"`` is the only one.
+
+    ``workers`` is ignored, since a serial run has no pool.
+    """
+    if name != "serial":
+        raise ValueError(
+            f"unknown executor {name!r}; the only executor is 'serial'"
+        )
+    return SerialExecutor()
 
 
 __all__ = [
-    "ExecutionStrategy",
     "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "CountryPartial",
     "HostAnnotation",
     "merge_faults",
     "merge_footprints",
     "merge_validation",
-    "EXECUTOR_NAMES",
     "make_executor",
 ]

@@ -1,8 +1,9 @@
 """Picklable per-country partial results and their deterministic merges.
 
 The pipeline's per-country phase-1 work (crawl, filter, map, geolocate)
-has no cross-country data dependency, so executors run it in any order
-and on any number of workers.  Two reductions *do* cross countries:
+has no cross-country data dependency, so a country's partial may come
+from a fresh scan, the scan cache, or a scenario sweep that shares it
+across scenarios.  Two reductions *do* cross countries:
 
 * the :class:`~repro.core.classification.ProviderFootprint` every AS
   accumulates (the paper's Global-provider definition needs the full
@@ -13,8 +14,7 @@ and on any number of workers.  Two reductions *do* cross countries:
 Both are merged here with explicitly order-independent functions: the
 footprint is a set union, and the validation tally is *replayed* in
 canonical country order from the per-country verdict sequences, so the
-result is bit-identical to a serial run no matter how the phase-1 work
-was sharded or in which order shards completed.
+result is bit-identical no matter where each partial came from.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ UrlObservation = tuple[str, str, int, FilterVia, int]
 class CountryPartial:
     """Everything phase-1 learned about one country.
 
-    Picklable, so process workers can ship it back to the driver; small,
-    because URLs are stored as tuples and per-host facts are factored
-    out of the per-URL rows.
+    Picklable, so the scan cache can store it; small, because URLs are
+    stored as tuples and per-host facts are factored out of the per-URL
+    rows.
 
     The *bulk* of a partial — ``hosts`` and ``urls``, everything record
     assembly needs and nothing the driver's merges touch — may be given
@@ -124,8 +124,8 @@ class CountryPartial:
             self._materialize()
         return self._urls
 
-    # Pickling materializes the bulk: process workers and the cache
-    # always ship complete partials.
+    # Pickling materializes the bulk: the cache always stores complete
+    # partials.
     def __getstate__(self) -> tuple:
         return (
             self.country, self.landing_count, self.discarded_url_count,
@@ -169,14 +169,14 @@ def merge_validation(partials: Sequence[CountryPartial]) -> ValidationStats:
     """Replay the Table 4 tally over per-country verdict sequences.
 
     ``partials`` must be in canonical country order (the order the
-    countries were submitted, which is also the order a serial run
-    processes them).  Each address is counted once, at its first
-    appearance in that canonical traversal — exactly the serial
-    geolocator's count-on-first-observation rule — so the merged stats
-    are identical to a serial run regardless of how the scan phase was
-    sharded.  Internally the reduction is a sum of per-country deltas
-    via :meth:`ValidationStats.merge`, which is associative with
-    identity ``ValidationStats()``.
+    countries were submitted, which is also the order the pipeline
+    scans them).  Each address is counted once, at its first
+    appearance in that canonical traversal — exactly the geolocator's
+    count-on-first-observation rule — so the merged stats are the same
+    whether a partial was scanned or loaded from the cache.  Internally
+    the reduction is a sum of per-country deltas via
+    :meth:`ValidationStats.merge`, which is associative with identity
+    ``ValidationStats()``.
     """
     counted: set[int] = set()
     total = ValidationStats()

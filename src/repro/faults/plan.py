@@ -6,9 +6,9 @@ failures, lookup failures, congestion spikes — plus the retry policy
 governing recovery.  Every individual decision ("does attempt ``k`` of
 operation ``K`` fail?") is a pure function of the plan seed, the fault
 domain and the operation key, derived with the same BLAKE2 scheme the
-world generator uses.  Nothing depends on call order, thread
-interleaving or process sharding, which is what keeps faulted runs
-bit-identical across execution strategies.
+world generator uses.  Nothing depends on call order, which is what
+keeps a faulted country's cached partial bit-identical to a fresh scan
+of it.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Every injected fault, retry and degradation in a faulted pipeline run is
 counted here.  Like :class:`~repro.core.classification.ProviderFootprint`
 and :class:`~repro.core.geolocation.ValidationStats`, the report forms a
 commutative monoid under :meth:`FaultReport.merge` (identity: the empty
-report), so per-shard reports from parallel executions can be reduced in
-any grouping without changing the result.
+report), so per-country reports can be reduced in any grouping without
+changing the result.
 
 The bookkeeping invariant, per tally::
 

@@ -7,15 +7,15 @@ accounts every injected fault, retry and degradation into a per-country
 :class:`~repro.faults.report.FaultReport`.
 
 Sessions are intentionally *not* shared between countries: each scan
-mutates only its own session, so thread- and process-parallel shards
-never contend, and the per-country report is a pure function of
-``(plan, country, the country's measurement workload)`` — the property
-that makes faulted parallel runs bit-identical to serial ones.
+mutates only its own session, and the per-country report is a pure
+function of ``(plan, country, the country's measurement workload)`` —
+the property that makes a faulted country's cached partial
+bit-identical to a fresh scan of it.
 
 Operation keys deliberately include the scanning country: each national
 crawl performs its own lookups against the external services, so two
 countries observing the same address can fail independently — which is
-also what keeps per-country attribution executor-independent.
+also what keeps per-country attribution independent of scan order.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ class FaultSession:
         """Distinct fault-eligible operations this session has decided.
 
         A pure function of ``(plan, country, workload)`` like the report
-        itself, so the observability layer may count it per shard and
+        itself, so the observability layer may count it per country and
         still merge deterministically.  Reading it never advances the
         simulated clock or any fault decision stream.
         """

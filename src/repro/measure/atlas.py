@@ -73,8 +73,8 @@ class AtlasClient:
         # Jitter is keyed per (probe, target) rather than drawn from a
         # shared stream: a ping train's RTTs are then a pure function of
         # the probe and address, independent of measurement order.  That
-        # property is what lets parallel pipeline shards reproduce the
-        # serial run bit-for-bit (repro.exec), and makes the ping memo
+        # property is what lets a cached country's partial reproduce a
+        # fresh scan bit-for-bit (repro.cache), and makes the ping memo
         # below a sound cache rather than a behavior change.
         self._seed = rng.getrandbits(64)
         self._ping_cache: dict[tuple[int, int, int], PingResult] = {}

@@ -11,17 +11,16 @@ artifact traceable to the run that produced it.
 
 The layer is **zero-perturbation** by design: a run with observability
 on produces a dataset and report byte-identical to one with it off,
-under every executor, faulted or not, cold or warm cache.  The
+faulted or not, cold or warm cache.  The
 instrumentation only reads ``time.perf_counter`` and counts values the
 pipeline already computed — it never draws from an RNG, touches the
 fault layer's simulated clock, or feeds a measurement back into
 pipeline state.  ``tests/obs/test_zero_perturbation.py`` enforces this
-across the whole executor/fault/cache matrix.
+across the whole fault/cache matrix.
 
-Per-worker metric shards merge on the driver as commutative monoids
-(:meth:`MetricsRegistry.merge`), the same algebra as the pipeline's
-footprint/validation/fault reductions, so thread and process runs
-yield deterministic merged metrics.
+Per-country metric scopes merge into the run's registry as commutative
+monoids (:meth:`MetricsRegistry.merge`), the same algebra as the
+pipeline's footprint/validation/fault reductions.
 """
 
 from __future__ import annotations
@@ -67,32 +66,21 @@ ProgressCallback = Callable[[str, float, int, Optional[int]], None]
 class Observability:
     """One run's tracer, metrics registry and scan-scope collector.
 
-    The driver's pipeline owns one instance per observed run.  Worker
-    processes get their own ``capture_only`` instance: it buffers each
-    scan's scope instead of merging it, so the shard can ship scopes
-    back with its partials and the *driver* absorbs them in submission
-    order — keeping long-lived worker pools from accumulating state.
+    The pipeline owns one instance per observed run.
     """
 
-    def __init__(
-        self,
-        progress: Optional[ProgressCallback] = None,
-        capture_only: bool = False,
-    ) -> None:
+    def __init__(self, progress: Optional[ProgressCallback] = None) -> None:
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
         self.progress = progress
-        self.capture_only = capture_only
         #: Number of scans the current run will perform (set by the
-        #: pipeline before the fan-out; feeds the progress heartbeat).
+        #: pipeline before the scans; feeds the progress heartbeat).
         self.expected_scans: Optional[int] = None
         self._lock = threading.Lock()
         self._absorbed = 0
         #: Span under which absorbed scan scopes nest (the run's scan
         #: phase span while a run is active).
         self._scan_parent: Optional[Span] = None
-        #: Captured scopes awaiting pickup (capture-only mode).
-        self._pending: list[ScanObs] = []
 
     # -------------------------------------------------------- scan scopes
 
@@ -104,15 +92,9 @@ class Observability:
         """Fold one finished scan scope into the run's trace + metrics.
 
         Thread-safe; metric absorption is a commutative merge, so the
-        registry is deterministic no matter which shard finishes first.
-        In capture-only mode the scope is buffered for :meth:`take_scans`
-        instead.
+        registry does not depend on the order scopes arrive in.
         """
         scope.finish()
-        if self.capture_only:
-            with self._lock:
-                self._pending.append(scope)
-            return
         with self._lock:
             self.metrics.merge_in(scope.metrics)
             parent = self._scan_parent
@@ -125,12 +107,6 @@ class Observability:
         if self.progress is not None:
             self.progress(scope.country, scope.duration_s, completed,
                           self.expected_scans)
-
-    def take_scans(self) -> list[ScanObs]:
-        """Drain buffered scopes (capture-only workers)."""
-        with self._lock:
-            pending, self._pending = self._pending, []
-        return pending
 
     # --------------------------------------------------------- run phases
 
@@ -161,9 +137,9 @@ class Observability:
             finally:
                 if name == "scan":
                     self._scan_parent = None
-                    # Scopes were grafted in completion order (threads)
-                    # or submission order (serial/processes); canonical
-                    # country order keeps the tree shape deterministic.
+                    # Scopes were grafted in submission order;
+                    # canonical country order keeps the tree shape
+                    # independent of the order callers list countries.
                     span.children.sort(
                         key=lambda child: str(child.tags.get("country", ""))
                     )
@@ -174,7 +150,7 @@ class Observability:
         """Metrics derivable from the partials themselves.
 
         These cover cache hits too (a warm start runs no scan scopes),
-        and replay in canonical order, so they are executor- and
+        and replay in canonical order, so they are
         cache-state-independent.
         """
         metrics = self.metrics

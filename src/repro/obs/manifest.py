@@ -29,7 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache import ScanCache
     from repro.core.dataset import GovernmentHostingDataset
     from repro.core.pipeline import Pipeline
-    from repro.exec import ExecutionStrategy
     from repro.obs import Observability
 
 PathLike = Union[str, pathlib.Path]
@@ -91,6 +90,10 @@ class RunManifest:
     seed: int
     scale: float
     countries: list[str]
+    #: How the scan was scheduled: ``"serial"`` and None for every new
+    #: run.  Journals also hold runs recorded with the former thread and
+    #: process pools, and a registry entry's id hashes the parsed
+    #: manifest, so both fields stay to keep those entries loadable.
     executor: str
     workers: Optional[int]
     max_depth: int
@@ -128,7 +131,6 @@ class RunManifest:
         cls,
         pipeline: "Pipeline",
         dataset: "GovernmentHostingDataset",
-        executor: Optional["ExecutionStrategy"] = None,
         cache: Optional["ScanCache"] = None,
         obs: Optional["Observability"] = None,
         evolution: Optional[dict] = None,
@@ -153,8 +155,8 @@ class RunManifest:
             seed=config.seed,
             scale=config.scale,
             countries=sorted(dataset.countries),
-            executor=executor.name if executor is not None else "serial",
-            workers=getattr(executor, "workers", None),
+            executor="serial",
+            workers=None,
             max_depth=pipeline.crawler.max_depth,
             fault_rate=config.fault_rate,
             fault_profile=config.fault_profile,

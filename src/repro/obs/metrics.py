@@ -1,8 +1,8 @@
 """Metrics: counters, gauges and histograms that merge as monoids.
 
-Parallel pipeline runs shard per-country work over threads or
-processes, so per-shard metrics must reduce to one registry without
-caring how the work was split or in which order shards finished.  The
+Each country's scan and each concurrent gateway request records into
+its own registry, so those registries must reduce to one without
+caring how the work was split or in which order it finished.  The
 registry therefore supports exactly the operations that commute:
 
 * **counters** merge by summation;
@@ -15,9 +15,8 @@ monoid with the empty registry as identity — the same algebraic
 contract as ``merge_footprints`` / ``merge_validation`` /
 ``merge_faults`` in :mod:`repro.exec.partials`, and tested the same
 way (``tests/obs/test_metrics.py`` asserts the monoid laws).  That is
-what makes merged metrics from thread and process runs deterministic:
-every shard's delta is a pure function of its countries, and the
-reduction is order-independent.
+what makes merged metrics deterministic: every country's delta is a
+pure function of its scan, and the reduction is order-independent.
 """
 
 from __future__ import annotations

@@ -5,22 +5,23 @@ like a :class:`~repro.faults.session.FaultSession` does: it is created
 by the pipeline when observability is on, records that country's spans
 (``scan`` -> ``directory``/``crawl``/``filter``/``resolve``/``geolocate``
 -> per-geolocation-step) and metric deltas, and is absorbed by the
-driver's :class:`~repro.obs.Observability` when the scan returns.
-Scopes are picklable, so process shards ship them back with their
-partials; every metric a scope records is a pure function of
+pipeline's :class:`~repro.obs.Observability` when the scan returns.
+Every metric a scope records is a pure function of
 ``(world, country)``, which is what keeps the merged registry
-identical across executors.
+identical across runs.
 
 The geolocation-step **funnel** is the one family of metrics that must
 *not* be recorded where the work happens: the geolocator's shared
-memos mean whichever shard first observes an address pays for its
-computation, so computation-site counters would vary with thread
-scheduling.  Instead every verdict carries the step that resolved it
+memos mean whichever scan first observes an address pays for its
+computation, and a warm-cache run observes none, so computation-site
+counters would vary with cache state.  Instead every verdict carries
+the step that resolved it
 (:attr:`~repro.core.geolocation.GeoVerdict.source`, a pure function of
 the world) and :func:`funnel_metrics` replays the per-country verdict
-sequences on the driver in canonical order, counting each address once
-— the exact first-appearance rule ``merge_validation`` already uses —
-so the funnel is bit-identical no matter how the scan was sharded.
+sequences in canonical order, counting each address once — the exact
+first-appearance rule ``merge_validation`` already uses — so the
+funnel is bit-identical whether a country was scanned or served from
+the cache.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ FUNNEL_STEPS = ("active_probing", "hoiho", "ipmap", "single_radius")
 class ScanObs:
     """Spans and metric deltas for one country's phase-1 scan.
 
-    Single-threaded by construction (one scope per scan, one scan per
-    worker at a time), so span nesting is a plain stack.  The scope is
-    finished and frozen before it is absorbed or pickled.
+    Single-threaded by construction (one scope per scan), so span
+    nesting is a plain stack.  The scope is finished and frozen before
+    it is absorbed.
     """
 
     def __init__(self, country: str) -> None:
@@ -75,15 +76,6 @@ class ScanObs:
     @property
     def duration_s(self) -> float:
         return self.root.duration_s
-
-    # The span stack is scan-local scratch; a shipped scope is always
-    # finished, so only the durable pieces cross process boundaries.
-    def __getstate__(self) -> tuple:
-        return (self.country, self.metrics, self.finish().root)
-
-    def __setstate__(self, state: tuple) -> None:
-        self.country, self.metrics, self.root = state
-        self._stack = [self.root]
 
     def geolocation_steps(self, step_seconds: dict[str, float],
                           step_counts: dict[str, int]) -> None:
@@ -119,7 +111,7 @@ def funnel_metrics(partials: Sequence["CountryPartial"],
 
     ``partials`` must be in canonical country order; each address
     counts once, at its first appearance in that traversal (the
-    ``merge_validation`` rule), so the counters are executor-independent.
+    ``merge_validation`` rule), so the counters are cache-state-independent.
     """
     counted: set[int] = set()
     for partial in partials:

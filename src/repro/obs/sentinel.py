@@ -222,8 +222,6 @@ GATES: dict[str, tuple[Gate, ...]] = {
              why="the sweep must clear its own declared bar"),
         Gate("gates.speedup.threshold_x", "min", threshold=4.0,
              why="the declared bar itself must not quietly drop"),
-        Gate("gates.executor_identity.pass", "truthy",
-             why="every executor must produce identical scenario bytes"),
     ),
 }
 

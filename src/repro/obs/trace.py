@@ -13,8 +13,8 @@ Tracing must never change what the pipeline computes.  Spans therefore
 draw **only** from :func:`time.perf_counter` — no RNG, no wall-clock
 reads on the measurement path, no interaction with the fault layer's
 simulated clock — and no measured value ever feeds back into pipeline
-state.  The byte-identity suite (``tests/obs/``) holds every executor
-to this.
+state.  The byte-identity suite (``tests/obs/``) holds faulted and
+cached runs to this.
 
 Exports: :meth:`Tracer.to_dict` is the canonical JSON layout (nested
 spans with seconds relative to the trace origin); :meth:`Tracer.to_chrome`
@@ -93,8 +93,8 @@ class Tracer:
     """Thread-safe span factory and buffer.
 
     Spans opened on the same thread nest through a thread-local stack;
-    spans recorded elsewhere (a worker's scan scope, a process shard)
-    are grafted under an explicit parent with :meth:`attach`.  The
+    spans recorded elsewhere (a country's scan scope) are grafted
+    under an explicit parent with :meth:`attach`.  The
     buffer only ever grows by whole, finished top-level spans, so an
     export taken at any time is well-formed.
     """

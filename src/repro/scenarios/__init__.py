@@ -11,8 +11,7 @@ what-ifs.  This package turns those questions into a batch instrument:
   country) scan tasks, groups them by ``(global fingerprint, country
   slice fingerprint)`` so each unique key is scanned *exactly once*
   (enforced at runtime via :class:`SweepIntegrityError`), shares the
-  persistent scan cache, and dispatches the unique set across the
-  serial/thread/process executors in one pool-filling wave;
+  persistent scan cache, and scans the unique set in one wave;
 * :func:`compare_sweep` renders per-scenario divergence from the
   baseline — geolocation-verdict flips, category-mix deltas, HHI
   shifts, outage blast radius.

@@ -12,10 +12,8 @@ evolution step re-keys only the countries it touches.  The
    each with the cache fingerprint functions, and group by key so every
    unique key is scanned exactly once;
 2. **dispatch** — probe the shared :class:`~repro.cache.ScanCache` for
-   hits, then push *all* remaining unique tasks through the execution
-   strategy in one pool-filling wave
-   (:meth:`~repro.exec.base.ExecutionStrategy.scan_groups`) instead of
-   S sequential ``Pipeline.run`` calls.
+   hits, then scan every remaining unique task once, in one wave,
+   instead of S sequential ``Pipeline.run`` calls.
 
 Each scenario's dataset is then assembled by fanning the shared
 partials back out (``Pipeline.assemble``), with scenarios whose configs
@@ -55,7 +53,6 @@ from repro.core.crawler import DEFAULT_MAX_DEPTH
 from repro.core.dataset import GovernmentHostingDataset
 from repro.core.pipeline import Pipeline
 from repro.datagen.generator import SyntheticWorld
-from repro.exec import ExecutionStrategy, SerialExecutor
 from repro.exec.partials import CountryPartial
 from repro.faults import FaultPlan
 from repro.scenarios.matrix import Scenario, ScenarioMatrix
@@ -192,7 +189,6 @@ class SweepRunner:
         matrix: Union[ScenarioMatrix, Sequence[Scenario]],
         max_depth: int = DEFAULT_MAX_DEPTH,
         cache: Optional["ScanCache"] = None,
-        executor: Optional[ExecutionStrategy] = None,
         registry: Optional["RunRegistry"] = None,
     ) -> None:
         scenarios = (
@@ -216,7 +212,6 @@ class SweepRunner:
         self.codes = base_codes
         self.max_depth = max_depth
         self.cache = cache
-        self._executor = executor
         #: When set, one manifest per distinct config is recorded into
         #: this cross-run registry after assembly.
         self.registry = registry
@@ -225,7 +220,6 @@ class SweepRunner:
 
     def run(self) -> SweepResult:
         """Dedup, dispatch one scan wave, fan out, assemble, verify."""
-        strategy = self._executor or SerialExecutor()
         scenarios = self.scenarios
         codes = self.codes
 
@@ -282,44 +276,24 @@ class SweepRunner:
                     partials[key] = hit
                     cache_hits += 1
 
-        # Level 2b: group the misses by their owning pipeline (the one
-        # whose scenario saw the key first — by per-country hermeticity
-        # any sharing config would scan the identical partial), keeping
-        # first-occurrence order, and dispatch them all in ONE wave.
-        miss_by_fp: dict[str, tuple[list[str], list[str]]] = {}
+        # Level 2b: scan each miss once, in first-occurrence order, on
+        # its owning pipeline (the one whose scenario saw the key first —
+        # by per-country hermeticity any sharing config would scan the
+        # identical partial).
+        wave_started = time.perf_counter()
+        executed = 0
         for key, (fp, code) in unique.items():
             if key in partials:
                 continue
-            group_codes, group_keys = miss_by_fp.setdefault(fp, ([], []))
-            group_codes.append(code)
-            group_keys.append(key)
-        miss_groups = [
-            (pipelines[fp], group_codes)
-            for fp, (group_codes, _) in miss_by_fp.items()
-        ]
-        miss_keys = [
-            group_keys for _, (_, group_keys) in miss_by_fp.items()
-        ]
-        wave_started = time.perf_counter()
-        executed = 0
-        if miss_groups:
-            scanned = strategy.scan_groups(miss_groups)
-            for (pipeline, group_codes), keys, fresh in zip(
-                miss_groups, miss_keys, scanned
-            ):
-                if len(fresh) != len(group_codes):
-                    raise SweepIntegrityError(
-                        f"scan wave returned {len(fresh)} partials for "
-                        f"{len(group_codes)} submitted countries"
-                    )
-                for code, key, partial in zip(group_codes, keys, fresh):
-                    partials[key] = partial
-                    executed += 1
-                    if self.cache is not None and pipeline.supports_caching:
-                        self.cache.store(
-                            key, partial,
-                            scan_s=pipeline.scan_seconds.get(code, 0.0),
-                        )
+            pipeline = pipelines[fp]
+            partial = pipeline.scan_partial(code)
+            partials[key] = partial
+            executed += 1
+            if self.cache is not None and pipeline.supports_caching:
+                self.cache.store(
+                    key, partial,
+                    scan_s=pipeline.scan_seconds[partial.country],
+                )
         scan_wave_s = time.perf_counter() - wave_started
 
         # Runtime verification, SnapshotSeries-style: the dedup promise
@@ -348,7 +322,7 @@ class SweepRunner:
         datasets: dict[str, GovernmentHostingDataset] = {}
         for fp, pipeline in pipelines.items():
             ordered = [partials[key] for _, key in tasks_by_fp[fp]]
-            datasets[fp] = pipeline.assemble(ordered, executor=strategy)
+            datasets[fp] = pipeline.assemble(ordered)
 
         if self.registry is not None:
             from repro.obs import RunManifest
@@ -359,7 +333,7 @@ class SweepRunner:
             # manifest would misattribute it.
             for fp, pipeline in pipelines.items():
                 self.registry.record(RunManifest.collect(
-                    pipeline, datasets[fp], executor=strategy, cache=None,
+                    pipeline, datasets[fp], cache=None,
                 ))
 
         baseline_fp = scenario_fps[0]

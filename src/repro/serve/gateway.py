@@ -90,24 +90,19 @@ class _Handler(BaseHTTPRequestHandler):
         # Per-request stderr chatter off; /metrics is the signal.
         pass
 
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    def _send(self, status: int, body: bytes,
+              content_type: str = "application/json") -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
 
+    def _send_json(self, status: int, payload: dict) -> None:
+        self._send(status, json.dumps(payload, sort_keys=True).encode("utf-8"))
+
     def _send_error_json(self, error: RequestError) -> None:
         self._send_json(error.status, {"error": error.to_dict()})
-
-    def _send_text(self, status: int, body: str, content_type: str) -> None:
-        data = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
 
     def _read_body(self) -> Mapping:
         length = self.headers.get("Content-Length")
@@ -196,9 +191,11 @@ class _Handler(BaseHTTPRequestHandler):
         if requested == "json":
             self._send_json(200, self.server.service.metrics_snapshot())
         elif requested == "prometheus":
-            self._send_text(
+            self._send(
                 200,
-                render_prometheus(self.server.service.metrics_snapshot()),
+                render_prometheus(
+                    self.server.service.metrics_snapshot()
+                ).encode("utf-8"),
                 PROMETHEUS_CONTENT_TYPE,
             )
         else:

@@ -6,6 +6,8 @@ analysis must degrade to a well-defined empty result instead of raising
 ``ZeroDivisionError``/``ValueError``.
 """
 
+import warnings
+
 import pytest
 
 from repro.analysis.diversification import (
@@ -17,7 +19,9 @@ from repro.analysis.https_adoption import (
     country_https_adoption,
     global_https_prevalence,
 )
+from repro.analysis.engine import baseline
 from repro.analysis.longitudinal import compare_snapshots, trend_summary
+from repro.analysis.regression import explanatory_regression, feature_matrix
 from repro.analysis.resilience import outage_impact, single_points_of_failure
 from repro.categories import HostingCategory
 from repro.core.dataset import (
@@ -129,3 +133,21 @@ def test_diversification_groupings_with_mixed_countries():
     assert set(groups) == {HostingCategory.GOVT_SOE}
     dependence = single_network_dependence(mixed)
     assert dependence == {HostingCategory.GOVT_SOE: (1, 1)}
+
+
+# ------------------------------------------------------------- regression
+
+def test_regression_over_empty_dataset_raises_without_warnings(empty_dataset):
+    # Standardizing the outcome of no countries took the mean of an
+    # empty array, which numpy answers with RuntimeWarnings.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for features_of, regress in (
+            (feature_matrix, explanatory_regression),
+            (baseline.baseline_feature_matrix,
+             baseline.baseline_explanatory_regression),
+        ):
+            codes, features, outcome = features_of(empty_dataset)
+            assert codes == [] and features.size == 0 and outcome.size == 0
+            with pytest.raises(ValueError):
+                regress(empty_dataset)

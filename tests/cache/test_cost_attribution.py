@@ -1,9 +1,9 @@
-"""Per-country scan cost attribution in the cache (``scan_cached``).
+"""Per-country scan cost attribution in the cache (``Pipeline.scan``).
 
 Entries must record the wall seconds of *their own* country's scan —
 not an even split of the miss batch — so warm starts report the time
-they actually saved.  Every executor records ``Pipeline.scan_seconds``
-per country (process shards ship theirs back with the partials).
+they actually saved.  The pipeline records ``Pipeline.scan_seconds``
+per country.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 
 from repro import Pipeline, SyntheticWorld, WorldConfig
 from repro.cache import ScanCache
-from repro.exec import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.exec import SerialExecutor
 
 COUNTRIES = ("BR", "US", "FR", "JP")
 CONFIG = WorldConfig(seed=42, scale=0.03, countries=COUNTRIES,
@@ -37,9 +37,7 @@ def _entry_costs(cache: ScanCache) -> dict[str, float]:
 
 @pytest.mark.parametrize("executor_factory", [
     SerialExecutor,
-    lambda: ThreadExecutor(workers=2),
-    lambda: ProcessExecutor(workers=2),
-], ids=["serial", "threads", "processes"])
+], ids=["serial"])
 def test_entries_record_their_own_scan_cost(cost_world, tmp_path,
                                             executor_factory):
     cache = ScanCache(tmp_path / "cache")
@@ -58,14 +56,11 @@ def test_entries_record_their_own_scan_cost(cost_world, tmp_path,
 
 
 def test_every_executor_records_scan_seconds(cost_world):
-    for factory in (SerialExecutor, lambda: ThreadExecutor(workers=2),
-                    lambda: ProcessExecutor(workers=2)):
-        pipeline = Pipeline(cost_world)
-        with factory() as executor:
-            pipeline.run(list(COUNTRIES), executor=executor)
-        assert set(pipeline.scan_seconds) == set(COUNTRIES)
-        assert all(seconds > 0.0
-                   for seconds in pipeline.scan_seconds.values())
+    pipeline = Pipeline(cost_world)
+    with SerialExecutor() as executor:
+        pipeline.run(list(COUNTRIES), executor=executor)
+    assert set(pipeline.scan_seconds) == set(COUNTRIES)
+    assert all(seconds > 0.0 for seconds in pipeline.scan_seconds.values())
 
 
 def test_warm_hits_report_summed_per_entry_costs(cost_world, tmp_path):

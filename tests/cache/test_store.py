@@ -149,8 +149,8 @@ def test_stats_summary_renders():
 
 
 def test_partial_pickles_with_bulk_forced(populated):
-    # Process executors ship partials across process boundaries; a
-    # deferred partial must materialize, not pickle its loader.
+    # A deferred partial must materialize when pickled, not pickle its
+    # loader.
     cache, _, key, partial = populated
     lazy = cache.load(key, "BR")
     assert lazy._hosts is None

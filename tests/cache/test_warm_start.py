@@ -1,5 +1,5 @@
-"""Warm-start contract: byte-identical datasets cold vs warm, under every
-executor, with and without fault injection; recovery and gating rules."""
+"""Warm-start contract: byte-identical datasets cold vs warm, with and
+without fault injection; recovery and gating rules."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 from repro import Pipeline, SyntheticWorld, WorldConfig
 from repro.cache import ScanCache
 from repro.core.geolocation import Geolocator
-from repro.exec import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.io import save_dataset
 
 CONFIG = WorldConfig(seed=42, scale=0.03, countries=("BR", "US", "FR", "JP"))
@@ -22,13 +21,8 @@ def warm_world() -> SyntheticWorld:
     return SyntheticWorld.generate(CONFIG)
 
 
-def _export(world, tmp_path, name, cache=None, executor=None, countries=None):
-    pipeline = Pipeline(world)
-    if executor is not None:
-        with executor:
-            dataset = pipeline.run(countries, executor=executor, cache=cache)
-    else:
-        dataset = pipeline.run(countries, cache=cache)
+def _export(world, tmp_path, name, cache=None, countries=None):
+    dataset = Pipeline(world).run(countries, cache=cache)
     out = tmp_path / f"{name}.jsonl"
     save_dataset(dataset, out)
     return out.read_bytes()
@@ -56,38 +50,6 @@ def test_faulted_cold_then_warm_byte_identical(tmp_path):
     warm = _export(world, tmp_path, "warm", cache=warm_cache)
     assert cold == uncached
     assert warm == cold
-    assert warm_cache.stats.misses == 0
-
-
-@pytest.mark.parametrize("make_executor", [
-    lambda: ThreadExecutor(workers=2),
-    lambda: ProcessExecutor(workers=2),
-], ids=["threads", "processes"])
-def test_warm_start_under_parallel_executors(warm_world, tmp_path, make_executor):
-    serial = _export(warm_world, tmp_path, "serial")
-    # Cold fan-out through the parallel executor populates the cache...
-    cold_cache = ScanCache(tmp_path / "cache")
-    cold = _export(warm_world, tmp_path, "cold",
-                   cache=cold_cache, executor=make_executor())
-    # ...and a warm run through the same kind of executor hits fully.
-    warm_cache = ScanCache(tmp_path / "cache")
-    warm = _export(warm_world, tmp_path, "warm",
-                   cache=warm_cache, executor=make_executor())
-    assert cold == serial
-    assert warm == serial
-    assert warm_cache.stats.misses == 0
-
-
-def test_cache_shared_across_executors(warm_world, tmp_path):
-    # Entries written by a process fan-out serve a serial warm start.
-    serial = _export(warm_world, tmp_path, "serial")
-    _export(warm_world, tmp_path, "cold",
-            cache=ScanCache(tmp_path / "cache"),
-            executor=ProcessExecutor(workers=2))
-    warm_cache = ScanCache(tmp_path / "cache")
-    warm = _export(warm_world, tmp_path, "warm", cache=warm_cache,
-                   executor=SerialExecutor())
-    assert warm == serial
     assert warm_cache.stats.misses == 0
 
 

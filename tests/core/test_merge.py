@@ -1,10 +1,10 @@
 """Unit tests for the cross-country reduction monoids.
 
-The parallel executors rely on ``ValidationStats`` and
+The scan cache and the scenario sweep rely on ``ValidationStats`` and
 ``ProviderFootprint`` merging associatively with an identity element,
-so shard tallies can be reduced in any grouping without changing the
-result.  These tests pin that algebra down in isolation from the
-executors themselves.
+so per-country tallies can be reduced in any grouping without changing
+the result.  These tests pin that algebra down in isolation from the
+pipeline.
 """
 
 import dataclasses

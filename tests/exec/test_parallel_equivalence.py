@@ -1,21 +1,18 @@
-"""Parallel-vs-serial equivalence of the pipeline execution layer.
+"""The execution handle of ``repro.exec``.
 
-The contract of ``repro.exec`` is strict: every strategy, at every
-worker count, produces a dataset **bit-identical** to the serial run —
-same records, same validation stats, same Table 3/4 summaries — because
-per-country work is order-independent and the cross-country reductions
-merge deterministically.
+Serial is the only strategy: an explicit executor, the default and a
+reused one all produce a dataset **bit-identical** to a plain run —
+same records, same validation stats, same Table 3/4 summaries — and
+every other strategy name is refused.
 """
 
 import pytest
 
 from repro import Pipeline, SyntheticWorld, WorldConfig
-from repro.exec import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    make_executor,
-)
+from repro.cache import ScanCache
+from repro.exec import SerialExecutor, make_executor
+from repro.io import save_dataset
+from repro.obs import Observability
 
 COUNTRIES = ("BR", "US", "FR", "MA")
 
@@ -47,12 +44,10 @@ def _fingerprint(dataset):
     )
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("strategy", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("workers", [1])
+@pytest.mark.parametrize("strategy", ["serial"])
 def test_every_strategy_matches_serial(exec_world, serial_baseline,
                                        strategy, workers):
-    if strategy == "serial" and workers > 1:
-        pytest.skip("serial has no worker knob")
     executor = make_executor(strategy, workers=workers)
     try:
         dataset = Pipeline(exec_world).run(list(COUNTRIES), executor=executor)
@@ -61,22 +56,8 @@ def test_every_strategy_matches_serial(exec_world, serial_baseline,
     assert _fingerprint(dataset) == _fingerprint(serial_baseline)
 
 
-@pytest.mark.parametrize("seed", [3, 11])
-def test_process_pool_matches_serial_across_seeds(seed):
-    config = WorldConfig(seed=seed, scale=0.02, countries=("BR", "JP"),
-                         include_topsites=False)
-    world = SyntheticWorld.generate(config)
-    serial = Pipeline(world).run(["BR", "JP"])
-    executor = ProcessExecutor(workers=2)
-    try:
-        parallel = Pipeline(world).run(["BR", "JP"], executor=executor)
-    finally:
-        executor.close()
-    assert _fingerprint(parallel) == _fingerprint(serial)
-
-
 def test_executor_pool_is_reusable_across_runs(exec_world, serial_baseline):
-    executor = ThreadExecutor(workers=2)
+    executor = SerialExecutor()
     try:
         first = Pipeline(exec_world).run(list(COUNTRIES), executor=executor)
         second = Pipeline(exec_world).run(list(COUNTRIES), executor=executor)
@@ -100,24 +81,36 @@ def test_make_executor_rejects_unknown_name():
         make_executor("fibers")
 
 
-def test_process_executor_rejects_custom_geolocator(exec_world):
-    from repro.core.geolocation import Geolocator
+@pytest.mark.parametrize("name", ["threads", "processes"])
+def test_make_executor_rejects_removed_pools(name):
+    with pytest.raises(ValueError, match="unknown executor"):
+        make_executor(name, workers=2)
 
-    pipeline = Pipeline(exec_world)
-    custom = Pipeline(
-        exec_world,
-        geolocator=Geolocator(
-            ipinfo=exec_world.ipinfo, manycast=exec_world.manycast,
-            atlas=pipeline.atlas, hoiho=exec_world.hoiho,
-            ipmap=exec_world.ipmap, enable_active_probing=False,
-        ),
-    )
-    executor = ProcessExecutor(workers=1)
-    try:
-        with pytest.raises(ValueError, match="default geolocator"):
-            custom.run(["BR"], executor=executor)
-    finally:
-        executor.close()
+
+def test_observed_cached_run_with_explicit_executor_matches_plain_run(
+        exec_world, tmp_path):
+    """The calling convention of ``perfbench/layers.py``, pinned.
+
+    The benchmark builds its executor by name, passes it with a cache
+    to an observed pipeline and closes it afterwards; the dataset must
+    be byte-identical to a plain run's, cold and warm.
+    """
+    plain = tmp_path / "plain.jsonl"
+    save_dataset(Pipeline(exec_world).run(), plain)
+    cache = ScanCache(tmp_path / "cache")
+    for temperature in ("cold", "warm"):
+        obs = Observability()
+        executor = make_executor("serial", workers=None)
+        try:
+            dataset = Pipeline(exec_world, obs=obs).run(executor=executor,
+                                                        cache=cache)
+        finally:
+            executor.close()
+        out = tmp_path / f"{temperature}.jsonl"
+        save_dataset(dataset, out)
+        assert out.read_bytes() == plain.read_bytes()
+        assert obs.tracer.find("pipeline.run").tags["executor"] == "serial"
+    assert cache.stats.hits == len(exec_world.country_codes())
 
 
 def test_serial_executor_is_default(exec_world, serial_baseline):

@@ -4,8 +4,7 @@ Three guarantees anchor the layer:
 
 1. rate 0 is *byte-identical* to a fault-free run (the faulted code
    paths are never entered);
-2. a faulted run is deterministic for a fixed ``fault_seed`` and
-   bit-identical across serial/thread/process executors;
+2. a faulted run is deterministic for a fixed ``fault_seed``;
 3. unrecoverable faults degrade gracefully — the run completes and the
    losses land in the methodology's existing fallbacks, fully accounted
    by a consistent :class:`FaultReport`.
@@ -15,7 +14,6 @@ import pytest
 
 from repro import Pipeline, SyntheticWorld, WorldConfig
 from repro.core.geolocation import ValidationMethod
-from repro.exec import make_executor
 from repro.faults import FaultPlan, FaultReport
 from repro.io import save_dataset
 
@@ -30,13 +28,9 @@ def _config(**overrides) -> WorldConfig:
     return WorldConfig(**base)
 
 
-def _run(config: WorldConfig, executor_name: str = "serial", workers=None):
+def _run(config: WorldConfig):
     world = SyntheticWorld.generate(config)
-    executor = make_executor(executor_name, workers=workers)
-    try:
-        return Pipeline(world).run(list(COUNTRIES), executor=executor)
-    finally:
-        executor.close()
+    return Pipeline(world).run(list(COUNTRIES))
 
 
 @pytest.fixture(scope="module")
@@ -81,16 +75,6 @@ def test_faulted_run_is_deterministic_for_fixed_fault_seed(tmp_path,
 def test_fault_seed_varies_failures_with_the_world_fixed(faulted_dataset):
     other = _run(_config(fault_rate=FAULT_RATE, fault_seed=777))
     assert other.faults != faulted_dataset.faults
-
-
-@pytest.mark.parametrize("executor_name,workers",
-                         [("threads", 2), ("threads", 4), ("processes", 2)])
-def test_faulted_runs_identical_across_executors(tmp_path, faulted_dataset,
-                                                 executor_name, workers):
-    parallel = _run(_config(fault_rate=FAULT_RATE), executor_name, workers)
-    assert _bytes_of(parallel, tmp_path, "parallel.jsonl") == \
-        _bytes_of(faulted_dataset, tmp_path, "serial.jsonl")
-    assert parallel.faults == faulted_dataset.faults
 
 
 # ----------------------------------------------------------- degradation
@@ -161,14 +145,3 @@ def test_fault_report_round_trips_through_io(tmp_path, faulted_dataset):
     loaded = load_dataset(path)
     assert loaded.faults == faulted_dataset.faults
 
-
-def test_explicit_fault_plan_blocks_process_execution():
-    world = SyntheticWorld.generate(_config())
-    pipeline = Pipeline(world, faults=FaultPlan(rate=0.1, seed=9))
-    assert not pipeline.supports_process_execution
-    executor = make_executor("processes", workers=1)
-    try:
-        with pytest.raises(ValueError, match="default geolocator"):
-            pipeline.run(["BR"], executor=executor)
-    finally:
-        executor.close()

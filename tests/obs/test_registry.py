@@ -206,6 +206,18 @@ def test_processes_recording_into_one_directory_lose_nothing(tmp_path):
     assert {(run.id, run.seq) for run in runs} == set(acknowledged)
 
 
+def test_journal_line_of_a_process_pool_run_reloads_with_its_id(tmp_path):
+    # Journals hold runs recorded with the former thread and process
+    # pools.  An entry's id hashes the parsed manifest, so the executor
+    # and workers fields must survive a reload for the id to verify.
+    manifest = make_manifest(executor="processes", workers=4)
+    run, _ = RunRegistry(tmp_path).record(manifest)
+    reloaded = RunRegistry(tmp_path).get(run.id)
+    assert reloaded.id == run.id == manifest_id(manifest)
+    assert (reloaded.manifest.executor, reloaded.manifest.workers) == \
+        ("processes", 4)
+
+
 # ----------------------------------------------------------------- lookup
 
 

@@ -1,11 +1,11 @@
-"""SweepRunner: dedup accounting, determinism, executor identity.
+"""SweepRunner: dedup accounting and determinism.
 
 The sweep's core promise is twofold: every unique ``(global, country,
 slice)`` key is scanned exactly once per sweep (verified by the
 runner's own integrity checks *and* re-asserted here from the outside),
 and the swept datasets are byte-identical to what standalone
-``Pipeline.run`` calls would have produced — across executors and
-across cold/warm cache states.
+``Pipeline.run`` calls would have produced — across cold/warm cache
+states.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ import pytest
 
 from repro import Pipeline, SyntheticWorld
 from repro.cache import ScanCache
-from repro.exec import make_executor
 from repro.io import save_dataset
-from repro.reporting.scenarios import render_sweep_report
 from repro.scenarios import Scenario, SweepRunner, compare_sweep
 from tests.scenarios.conftest import CODES, make_base, make_matrix
 
@@ -25,13 +23,6 @@ def _dataset_bytes(dataset, tmp_path, name: str) -> bytes:
     path = tmp_path / f"{name}.jsonl"
     save_dataset(dataset, path)
     return path.read_bytes()
-
-
-def _strip_timing(report: str) -> str:
-    return "\n".join(
-        line for line in report.splitlines()
-        if not line.startswith("scan wave:")
-    )
 
 
 def test_accounting_adds_up(sweep):
@@ -94,27 +85,6 @@ def test_swept_datasets_match_standalone_runs(sweep, tmp_path):
             _dataset_bytes(standalone, tmp_path,
                            f"standalone-{result.name}"), \
             f"scenario {result.name} diverged from a standalone run"
-
-
-@pytest.mark.parametrize("executor_name", ["threads", "processes"])
-def test_executor_identity(sweep, executor_name, tmp_path):
-    """Same matrix, parallel wave -> byte-identical datasets + report."""
-    executor = make_executor(executor_name, workers=2)
-    try:
-        parallel = SweepRunner(
-            make_matrix(make_base()), executor=executor
-        ).run()
-    finally:
-        executor.close()
-    assert parallel.accounting.unique_keys == sweep.accounting.unique_keys
-    assert parallel.accounting.executed == sweep.accounting.executed
-    for serial_result, parallel_result in zip(sweep, parallel):
-        assert _dataset_bytes(serial_result.dataset, tmp_path,
-                              f"serial-{serial_result.name}") == \
-            _dataset_bytes(parallel_result.dataset, tmp_path,
-                           f"{executor_name}-{parallel_result.name}")
-    assert _strip_timing(render_sweep_report(parallel)) == \
-        _strip_timing(render_sweep_report(sweep))
 
 
 def test_cold_then_warm_cache_is_deterministic(sweep, tmp_path):

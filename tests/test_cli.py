@@ -53,6 +53,18 @@ def test_requires_command():
         main([])
 
 
+@pytest.mark.parametrize("command", [["run"], ["evolve"],
+                                     ["sweep", "--demo"]])
+@pytest.mark.parametrize("option", [["--workers", "2"],
+                                    ["--executor", "threads"]])
+def test_scan_commands_have_no_pool_options(command, option, capsys):
+    # The scan is serial; only `serve` keeps a --workers knob.
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, *option])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_run_with_cache_warm_start(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
     args = [
